@@ -16,8 +16,10 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from . import evstats
 from .dataset import Dataset, dataset_digest, load_dataset
@@ -47,12 +49,39 @@ class ExhaustiveResult(NamedTuple):
     n_evaluated: int
 
 
+# The screen reads r2 off the correlation matrix of [X, y], i.e. the normal
+# equations of the centred, unit-scaled design, which square its condition
+# number kappa. A subset is trusted only when every scaled pivot of its design
+# (the squared QR diagonal R_jj^2 over the largest squared design column norm)
+# is at least _PIVOT_MIN, so kappa^2 <~ 1/_PIVOT_MIN = 1e6 up to a factor that
+# grows with k. Forming and factoring that matrix is off by about n * eps
+# (n <= 1000 rows: 1e-13), so the screened r2 is within 1e-13 * 1e6 = 1e-7 of
+# the exact value, and QR's own r2, off by about n * eps * kappa, is closer
+# still. _MARGIN leaves a factor of ten over that; the certifier widens it by
+# ||y|| / ||y - mean(y)||, the factor by which an offset in y inflates QR's
+# residual error relative to the total sum of squares. Ill-conditioned subsets
+# (this includes every one QR may call rank deficient, whose test fires at
+# R_jj < RANK_TOL * max norm, far below the cutoff) screen as +inf, so the
+# certifier always fits them. _CHUNK subsets are screened at a time, so the
+# screen's working memory is O(_CHUNK * k^2) doubles whatever C(m, k) is.
+_CHUNK = 8192
+_MARGIN = 1e-6
+_PIVOT_MIN = 1e-6
+
+
 def exhaustive_search(data: Dataset, k: int, limit: int = 10 ** 7) -> ExhaustiveResult:
     """Evaluate every k-subset of descriptors; the maximal r-squared is the
     certified optimum fed to reach-probability reports.
 
     Ties go to the lexicographically first subset. Subsets whose design is
     rank deficient count as fitness 0. Refuses when C(M, k) exceeds ``limit``.
+
+    A batched Cholesky (LDL^T) screen over the correlation matrix scores
+    every subset; ``fit_mlr`` then fits, best screened first, every subset
+    that could still match the best fitted r2 within the screen's error
+    bound. So the result has the same bits and the same tie-break as fitting
+    every subset with ``fit_mlr``, and memory holds one chunk of subsets plus
+    the contenders kept so far.
     """
     m = data.n_descriptors
     if not 1 <= k <= m:
@@ -60,17 +89,118 @@ def exhaustive_search(data: Dataset, k: int, limit: int = 10 ** 7) -> Exhaustive
     total = math.comb(m, k)
     if total > limit:
         raise EnumerationTooLarge(f"C({m},{k}) = {total} exceeds the {limit} enumeration guard")
-    best_r2 = -1.0
-    best_idx: tuple[int, ...] = ()
-    for idx in combinations(range(m), k):
+    screen = _Screen(data, k)
+    scores, subsets, floor = screen.contenders()
+    best = _certify(data, scores, subsets, (-1.0, ()), screen.margin)
+    if best[0] - screen.margin < floor:
+        # The fit of a top contender fell below the keep floor, so a dropped
+        # subset may beat it: fit every subset screened in [best - margin, floor).
+        scores, subsets, _ = screen.contenders(best[0] - screen.margin, floor)
+        best = _certify(data, scores, subsets, best, screen.margin)
+    return ExhaustiveResult(*best, total)
+
+
+class _Screen:
+    """Screened r2 of every k-subset, streamed in chunks of _CHUNK subsets."""
+
+    def __init__(self, data: Dataset, k: int):
+        z = np.column_stack([data.descriptors, data.property_values])
+        z -= z.mean(axis=0)
+        z -= z.mean(axis=0)  # second pass: exact even for large offsets
+        centred_sq = np.einsum("ij,ij->j", z, z)
+        norms = np.sqrt(centred_sq)
+        z /= np.where(norms > 0.0, norms, 1.0)
+        self.corr = (z.T @ z).ravel()
+        self.k = k
+        self.m = data.n_descriptors
+        self.n = data.n_compounds
+        # R_jj^2 = pivot_j * centred_sq[j]; QR scales its rank test by the
+        # largest column norm of the design, the intercept's sqrt(n) included.
+        self.centred_sq = centred_sq[:-1]
+        self.raw_sq = np.maximum(np.einsum("ij,ij->j", data.descriptors, data.descriptors), self.n)
+        y = data.property_values
+        self.margin = _MARGIN * math.sqrt(float(y @ y) / centred_sq[-1])
+
+    def scores(self, subsets: np.ndarray) -> np.ndarray:
+        """Screened r2 of each row of ``subsets``; +inf where ill-conditioned.
+
+        An LDL^T factorization of each subset's (k+1)x(k+1) correlation
+        matrix, y last, written as a loop over its lower triangle whose every
+        step is vectorised across the rows. The last pivot is 1 - r2.
+        """
+        k, width = self.k, self.m + 1
+        cols = [subsets[:, j] for j in range(k)] + [self.m]
+        a = [[self.corr[cols[i] * width + cols[j]] for j in range(i + 1)] for i in range(k + 1)]
+        design_sq = self.raw_sq[subsets].max(axis=1)
+        trusted = self.n >= _PIVOT_MIN * design_sq  # the intercept's R_00^2 is n
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for j in range(k):
+                pivot = a[j][j]
+                # Written as >= so that a NaN pivot is not trusted.
+                trusted &= pivot * self.centred_sq[cols[j]] >= _PIVOT_MIN * design_sq
+                for i in range(j + 1, k + 1):
+                    factor = a[i][j] / pivot
+                    for p in range(j + 1, i + 1):
+                        a[i][p] = a[i][p] - factor * a[p][j]
+        return np.where(trusted, 1.0 - a[k][k], math.inf)
+
+    def contenders(self, low: float | None = None, high: float = math.inf):
+        """Subsets whose screened r2 lies in [low, high), in enumeration order.
+
+        With ``low=None`` the floor follows the highest finite screened r2 seen
+        so far, less twice the margin, and every ill-conditioned subset is kept.
+        Returns the screened r2 and index rows of the kept subsets, and the
+        final floor.
+        """
+        top = -math.inf
+        kept: list[tuple[np.ndarray, np.ndarray]] = []
+        n_kept, prune_at = 0, _CHUNK
+        stream = combinations(range(self.m), self.k)
+        while True:
+            flat = np.fromiter(chain.from_iterable(islice(stream, _CHUNK)), dtype=np.intp)
+            if not flat.size:
+                break
+            subsets = flat.reshape(-1, self.k)
+            scores = self.scores(subsets)
+            if low is None:
+                finite = scores[np.isfinite(scores)]
+                if finite.size:
+                    top = max(top, float(finite.max()))
+                floor = top - 2.0 * self.margin
+                keep = scores >= floor
+            else:
+                floor = low
+                keep = (scores >= low) & (scores < high)
+            kept.append((scores[keep], subsets[keep]))
+            n_kept += len(kept[-1][0])
+            if n_kept > prune_at:
+                merged = _concat(kept)
+                keep = merged[0] >= floor
+                kept = [tuple(column[keep] for column in merged)]
+                n_kept = len(kept[0][0])
+                prune_at = max(_CHUNK, 2 * n_kept)
+        return (*_concat(kept), floor)
+
+
+def _concat(parts):
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _certify(data: Dataset, scores, subsets, best, margin):
+    """Fit the contenders best screened first, until none left can reach the
+    best fit; ``best`` is (r2, subset), and the lexicographically first
+    subset wins a tie, as in enumeration order."""
+    for i in np.argsort(-scores, kind="stable"):
+        if scores[i] < best[0] - margin:
+            break
+        idx = tuple(int(j) for j in subsets[i])
         try:
             r2 = fit_mlr(data, idx).r2
         except RankDeficient:
             r2 = 0.0
-        if r2 > best_r2:
-            best_r2 = r2
-            best_idx = idx
-    return ExhaustiveResult(best_r2, best_idx, total)
+        if r2 > best[0] or (r2 == best[0] and idx < best[1]):
+            best = (r2, idx)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +479,10 @@ def generate_report(manifest_path: str, optimum: float | None = None, fraction: 
             candidate = os.path.join(manifest_dir, dataset_file)
             dataset_file = candidate if os.path.exists(candidate) else dataset_file
         data = load_dataset(dataset_file)
+        digest = dataset_digest(data)
+        if digest != manifest["dataset_digest"]:
+            raise BatchError(f"{dataset_file} has dataset digest {digest}, "
+                             f"but the batch ran on {manifest['dataset_digest']}")
         optimum = exhaustive_search(data, manifest["ga"]["k"]).best_r2
     if budget is None:
         budget = manifest["ga"]["generations"]

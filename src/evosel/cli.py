@@ -16,13 +16,10 @@ import numpy as np
 
 from . import batch as batchmod
 from . import dejong, equilibrium, evstats
+from .batch import _fmt
 from .dataset import DatasetError, dataset_digest, load_dataset, synth_dataset, write_dataset
 from .ga import ALL_STRATEGY_PAIRS, GaConfig, GaError, StrategyPair, run
 from .regress import RegressionError, loo_q2
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _add_ga_flags(p: argparse.ArgumentParser, single_strategy: bool = True) -> None:

@@ -1,8 +1,15 @@
 import json
+import math
 import os
+from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import evosel.batch as batchmod
 from evosel.batch import (
     BatchError,
     BatchSpec,
@@ -14,8 +21,9 @@ from evosel.batch import (
     run_batch,
     write_evo_file,
 )
-from evosel.dataset import synth_dataset, write_dataset
+from evosel.dataset import Dataset, dataset_digest, load_dataset, synth_dataset, write_dataset
 from evosel.ga import ALL_STRATEGY_PAIRS, GaConfig, StrategyPair, run
+from evosel.regress import RankDeficient
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +54,118 @@ def test_exhaustive_single_subset_when_k_equals_m():
     result = exhaustive_search(data, 3)
     assert result.n_evaluated == 1
     assert result.best_indices == (0, 1, 2)
+
+
+def _fitness(data, idx):
+    try:
+        return batchmod.fit_mlr(data, idx).r2
+    except RankDeficient:
+        return 0.0
+
+
+def _reference_exhaustive(data, k):
+    """One QR fit per subset in enumeration order: the oracle's definition."""
+    best_r2, best_idx = -1.0, ()
+    for idx in combinations(range(data.n_descriptors), k):
+        r2 = _fitness(data, idx)
+        if r2 > best_r2:
+            best_r2, best_idx = r2, idx
+    return best_r2, best_idx
+
+
+def _dataset(x, y):
+    n, m = x.shape
+    return Dataset(tuple(f"c{i}" for i in range(n)), tuple(f"d{j}" for j in range(m)), x, y)
+
+
+def _assert_matches_reference(data, k):
+    result = exhaustive_search(data, k)
+    assert (result.best_r2, result.best_indices) == _reference_exhaustive(data, k)
+    assert result.best_r2 == _fitness(data, result.best_indices)
+    assert result.n_evaluated == math.comb(data.n_descriptors, k)
+
+
+@st.composite
+def small_problems(draw):
+    m = draw(st.integers(2, 6))
+    k = draw(st.integers(1, m))
+    n = draw(st.integers(k + 1, 12))
+    # Small integers give ties, duplicate and constant columns; floats do not.
+    cells = st.one_of(st.integers(-3, 3).map(float),
+                      st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False))
+    x = draw(arrays(np.float64, (n, m), elements=cells))
+    y = draw(arrays(np.float64, (n,), elements=cells).filter(lambda v: np.ptp(v) > 0.0))
+    return _dataset(x, y), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_problems())
+def test_exhaustive_equals_reference_on_small_datasets(problem):
+    _assert_matches_reference(*problem)
+
+
+def _collinear_problem(seed=0, n=40, m=8):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, m))
+    x[:, 3] = x[:, 1]                                        # exact duplicate
+    x[:, 5] = x[:, 2] + 1e-9 * rng.standard_normal(n)        # near-copy
+    x[:, 6] = 2.5                                            # constant column
+    y = x[:, 1] - 0.7 * x[:, 2] + 0.3 * rng.standard_normal(n)
+    return _dataset(x, y)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_exhaustive_equals_reference_with_collinear_columns(k):
+    _assert_matches_reference(_collinear_problem(), k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_exhaustive_equals_reference_with_large_offset_column(k):
+    # Column 0 is 1000 plus a trace of z, and y tracks z: by correlation it
+    # is a strong predictor, but QR calls it rank deficient against the
+    # intercept, so every subset holding it scores 0.
+    rng = np.random.default_rng(4)
+    n, m = 30, 7
+    z = rng.standard_normal(n)
+    x = rng.standard_normal((n, m))
+    x[:, 0] = 1000.0 + 1e-13 * z
+    y = z + 0.05 * rng.standard_normal(n)
+    data = _dataset(x, y)
+    _assert_matches_reference(data, k)
+    assert 0 not in exhaustive_search(data, k).best_indices
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_exhaustive_equals_reference_noise_free_and_unrelated(k):
+    _assert_matches_reference(synth_dataset(25, 9, 2, 0.0, seed=2).dataset, k)
+    rng = np.random.default_rng(5)
+    _assert_matches_reference(_dataset(rng.standard_normal((25, 9)), rng.standard_normal(25)), k)
+
+
+def test_exhaustive_second_pass_when_qr_rejects_the_top_subset(monkeypatch):
+    # QR may score a subset far below its screen; here it rejects the true
+    # subset outright. The search must go back for every subset that screened
+    # below the keep floor, and still agree with the reference.
+    data = synth_dataset(40, 9, 2, 0.1, seed=6)
+    fit = batchmod.fit_mlr
+
+    def rejecting_fit(d, idx):
+        if tuple(idx) == data.true_indices:
+            raise RankDeficient("rejected")
+        return fit(d, idx)
+
+    passes = []
+    contenders = batchmod._Screen.contenders
+
+    def counting_contenders(self, *args):
+        passes.append(args)
+        return contenders(self, *args)
+
+    monkeypatch.setattr(batchmod, "fit_mlr", rejecting_fit)
+    monkeypatch.setattr(batchmod._Screen, "contenders", counting_contenders)
+    _assert_matches_reference(data.dataset, 2)
+    assert len(passes) == 2
+    assert exhaustive_search(data.dataset, 2).best_indices != data.true_indices
 
 
 def test_exhaustive_enumeration_guard(noiseless_synth):
@@ -241,6 +361,18 @@ def test_report_prob_reach_against_known_optimum(tmp_path, dataset_file):
     # single-strategy manifest: exactly one prob_reach data row
     rows = (out / "report_prob_reach.csv").read_text().splitlines()
     assert len(rows) == 2
+
+
+def test_report_rejects_a_rewritten_dataset(tmp_path):
+    data_path = tmp_path / "data.csv"
+    write_dataset(synth_dataset(50, 10, 2, 0.0, seed=1).dataset, data_path)
+    out = tmp_path / "batch"
+    manifest = run_batch(small_spec(str(data_path), out, runs_per_strategy=1, generations=5))
+    write_dataset(synth_dataset(50, 10, 2, 0.0, seed=2).dataset, data_path)
+    with pytest.raises(BatchError) as err:
+        generate_report(str(out / "manifest.json"), out_dir=str(out))
+    assert manifest["dataset_digest"] in str(err.value)
+    assert dataset_digest(load_dataset(str(data_path))) in str(err.value)
 
 
 def test_collect_observables_requires_ok_runs(tmp_path, dataset_file):
